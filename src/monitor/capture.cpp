@@ -6,7 +6,7 @@
 namespace pbxcap::monitor {
 
 void SipCapture::attach(net::Network& network) {
-  network.add_tap([this](const net::Packet& pkt, net::NodeId from, net::NodeId to) {
+  network.add_node_tap(node_, [this](const net::Packet& pkt, net::NodeId from, net::NodeId to) {
     on_packet(pkt, from, to);
   });
 }
@@ -32,7 +32,7 @@ void SipCapture::on_packet(const net::Packet& pkt, net::NodeId from, net::NodeId
 }
 
 void RtpCapture::attach(net::Network& network) {
-  network.add_tap([this](const net::Packet& pkt, net::NodeId from, net::NodeId to) {
+  network.add_node_tap(node_, [this](const net::Packet& pkt, net::NodeId from, net::NodeId to) {
     if (pkt.kind != net::PacketKind::kRtp) return;
     if (pkt.dst == node_ && to == node_) {
       packets_in_ += pkt.batch;

@@ -1,9 +1,12 @@
 // Packet capture taps — the Wireshark/VoIPmonitor observation point.
 //
-// Both taps attach to the Network and observe the PBX's NIC: a message is
-// counted once on ingress (final hop into the PBX) and once on egress (first
-// hop out), exactly what a capture on the server's interface sees. Table I's
-// SIP per-type rows and the RTP message row are produced from these counts.
+// Both taps attach to the Network as node taps of the watched PBX
+// (Network::add_node_tap), so they run only on hops that leave or enter its
+// NIC: a fleet of N captured backends costs each delivery two taps, not 2N.
+// A message is counted once on ingress (final hop into the PBX) and once on
+// egress (first hop out), exactly what a capture on the server's interface
+// sees. Table I's SIP per-type rows and the RTP message row are produced
+// from these counts.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,8 @@ class SipCapture {
  public:
   explicit SipCapture(net::NodeId watch_node) : node_{watch_node} {}
 
-  /// Installs the tap; call once after building the network.
+  /// Installs the tap on the watched node; call once, after the node is
+  /// attached to `network`.
   void attach(net::Network& network);
 
   [[nodiscard]] const stats::CounterSet& counters() const noexcept { return counters_; }

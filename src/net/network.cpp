@@ -37,25 +37,39 @@ Link& Network::connect(Node& a, Node& b, const LinkConfig& config) {
     throw std::logic_error{"Network::connect: attach both nodes first"};
   }
   for (const Node* n : {static_cast<const Node*>(&a), static_cast<const Node*>(&b)}) {
-    if (!n->multihomed() && !links_of(n->id()).empty()) {
+    if (n->uplink_ != nullptr) {
       throw std::logic_error{"Network::connect: host '" + n->name() + "' is already linked"};
     }
   }
   links_.push_back(std::make_unique<Link>(*this, a.id(), b.id(), config));
-  return *links_.back();
+  Link& link = *links_.back();
+  for (Node* n : {&a, &b}) {
+    if (!n->multihomed()) n->uplink_ = &link;
+  }
+  return link;
 }
 
 void Network::send_from(NodeId src_node, Packet pkt) {
-  const auto links = links_of(src_node);
-  if (links.empty()) {
+  const Node& src = node(src_node);
+  if (src.uplink_ == nullptr) {
+    if (src.multihomed()) {
+      throw std::logic_error{"Network::send_from: multihomed node must transmit on a chosen link"};
+    }
     util::log_warn("net", util::format("node %u sent a packet while detached", src_node));
     return;
   }
-  if (links.size() > 1) {
-    throw std::logic_error{"Network::send_from: multihomed node must transmit on a chosen link"};
-  }
   pkt.sent_at = simulator_.now();
-  links.front()->transmit(src_node, std::move(pkt));
+  src.uplink_->transmit(src_node, std::move(pkt));
+}
+
+void Network::add_node_tap(NodeId node_id, PacketTap tap) {
+  node(node_id).taps_.push_back(std::move(tap));
+}
+
+void Network::fire_taps(const Packet& pkt, NodeId from, NodeId to) const {
+  for (const auto& tap : taps_) tap(pkt, from, to);
+  for (const auto& tap : nodes_[from]->taps_) tap(pkt, from, to);
+  for (const auto& tap : nodes_[to]->taps_) tap(pkt, from, to);
 }
 
 void Network::set_remote_sink(NodeId node, RemoteSink sink) {
@@ -65,7 +79,7 @@ void Network::set_remote_sink(NodeId node, RemoteSink sink) {
 }
 
 void Network::deliver_remote(Packet&& pkt, NodeId from, NodeId to, TimePoint deliver_at) {
-  for (const auto& tap : taps_) tap(pkt, from, to);
+  fire_taps(pkt, from, to);
   remote_[to](std::move(pkt), from, deliver_at);
 }
 
@@ -78,13 +92,13 @@ void Network::deliver(const Packet& pkt, NodeId from, NodeId to) {
   // that is what a wire sniffer on the trunked segment would record.
   if (pkt.kind == PacketKind::kTrunk) {
     if (const auto* trunk = pkt.payload_as<TrunkPayload>()) {
-      for (const auto& tap : taps_) tap(pkt, from, to);
+      fire_taps(pkt, from, to);
       for (const Packet& inner : trunk->frames) deliver(inner, from, to);
       return;
     }
   }
   delivered_ += pkt.batch;
-  for (const auto& tap : taps_) tap(pkt, from, to);
+  fire_taps(pkt, from, to);
   node(to).on_receive(pkt);
 }
 

@@ -2,7 +2,13 @@
 //
 // One Network per simulation run. It wires Node::send to the attached Link,
 // delivers packets through the Simulator, and exposes a tap interface so the
-// monitor module can observe every delivery (the Wireshark substitute).
+// monitor module can observe deliveries (the Wireshark substitute).
+//
+// Both per-hop paths cost the same whatever the topology's size:
+//   - a host's send goes straight to the uplink cached on its Node by
+//     connect(); multihomed devices transmit on explicit links;
+//   - a delivery fires the global taps plus the taps of the hop's two
+//     endpoints (add_node_tap), not every capture in the network.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +25,6 @@
 #include "sim/simulator.hpp"
 
 namespace pbxcap::net {
-
-/// Observation hook fired on every link delivery (post-impairment).
-/// `from`/`to` are the link endpoints of the hop, not the end-to-end pair.
-using PacketTap = std::function<void(const Packet& pkt, NodeId from, NodeId to)>;
 
 /// Cross-shard egress hook. A node with a remote sink is a *portal*: it
 /// stands in for a host simulated by another shard. Packets a Link would
@@ -42,17 +44,25 @@ class Network {
   NodeId attach(Node& node);
 
   /// Creates a link between two attached nodes. Non-switch nodes may have at
-  /// most one link (hosts in Fig. 4 are single-homed).
+  /// most one link (hosts in Fig. 4 are single-homed); that link becomes the
+  /// host's cached uplink.
   Link& connect(Node& a, Node& b, const LinkConfig& config = {});
 
   /// Sends from `src_node` over its attached link (host side) — called by
-  /// Node::send. Switches transmit on explicit links instead.
+  /// Node::send. A host uses its cached uplink and drops the packet with a
+  /// warning if it has none. A multihomed node (switch, Wi-Fi cell) has no
+  /// uplink and must transmit on an explicit link: this throws for one.
   void send_from(NodeId src_node, Packet pkt);
 
   /// Delivery: invoked by Link when a packet reaches a node.
   void deliver(const Packet& pkt, NodeId from, NodeId to);
 
+  /// Global tap: fires on every hop of the network (traces, tests).
   void add_tap(PacketTap tap) { taps_.push_back(std::move(tap)); }
+  /// Node tap: fires only on hops leaving or entering `node` — the capture
+  /// point of one NIC. Stored on the node, so a delivery pays for the taps
+  /// of its two endpoints, not for every capture in the network.
+  void add_node_tap(NodeId node, PacketTap tap);
 
   /// Marks `node` as a cross-shard portal: deliveries addressed to it leave
   /// this shard through `sink` instead of the local event loop. The node
@@ -71,13 +81,17 @@ class Network {
 
   [[nodiscard]] Node& node(NodeId id) const;
   [[nodiscard]] const std::vector<std::unique_ptr<Link>>& links() const noexcept { return links_; }
-  /// Links attached to `node_id`.
+  /// Links attached to `node_id` (a scan of every link: set-up and route
+  /// learning only, never per packet).
   [[nodiscard]] std::vector<Link*> links_of(NodeId node_id) const;
 
   [[nodiscard]] std::uint64_t next_packet_id() noexcept { return next_packet_id_++; }
   [[nodiscard]] std::uint64_t packets_delivered() const noexcept { return delivered_; }
 
  private:
+  /// Global taps, then the taps of `from`, then those of `to`.
+  void fire_taps(const Packet& pkt, NodeId from, NodeId to) const;
+
   sim::Simulator& simulator_;
   sim::Random rng_;
   std::vector<Node*> nodes_;

@@ -1,14 +1,15 @@
 #include "sip/message.hpp"
 
 #include "sip/parse.hpp"
+#include "sip/wire_sink.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::sip {
 
 std::string Via::to_string() const {
-  std::string out = "SIP/2.0/UDP " + host;
-  if (!branch.empty()) out += ";branch=" + branch;
-  return out;
+  StringSink out;
+  write_to(out);
+  return std::move(out.text);
 }
 
 std::optional<Via> Via::parse(std::string_view text) {
@@ -31,7 +32,9 @@ std::optional<Via> Via::parse(std::string_view text) {
 }
 
 std::string CSeq::to_string() const {
-  return std::to_string(number) + " " + std::string{sip::to_string(method)};
+  StringSink out;
+  write_to(out);
+  return std::move(out.text);
 }
 
 std::optional<CSeq> CSeq::parse(std::string_view text) {
@@ -45,9 +48,9 @@ std::optional<CSeq> CSeq::parse(std::string_view text) {
 }
 
 std::string NameAddr::to_string() const {
-  std::string out = "<" + uri.to_string() + ">";
-  if (!tag.empty()) out += ";tag=" + tag;
-  return out;
+  StringSink out;
+  write_to(out);
+  return std::move(out.text);
 }
 
 std::optional<NameAddr> NameAddr::parse(std::string_view text) {
@@ -103,7 +106,6 @@ Message Message::response_to(const Message& req, int status_code) {
 
 void Message::add_header(std::string name, std::string value) {
   extra_headers_.emplace_back(std::move(name), std::move(value));
-  cached_wire_bytes_ = 0;
 }
 
 const std::string* Message::header(std::string_view name) const noexcept {
@@ -116,14 +118,10 @@ const std::string* Message::header(std::string_view name) const noexcept {
 void Message::set_body(std::string body, std::string content_type) {
   body_ = std::move(body);
   content_type_ = std::move(content_type);
-  cached_wire_bytes_ = 0;
 }
 
 std::uint32_t Message::wire_bytes() const {
-  if (cached_wire_bytes_ == 0) {
-    cached_wire_bytes_ = static_cast<std::uint32_t>(serialize(*this).size());
-  }
-  return cached_wire_bytes_;
+  return static_cast<std::uint32_t>(serialized_size(*this));
 }
 
 }  // namespace pbxcap::sip

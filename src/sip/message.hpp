@@ -1,9 +1,11 @@
 // SIP message model (RFC 3261 subset).
 //
 // Messages round-trip through the textual wire format (serialize/parse in
-// parse.hpp) so packet sizes on the simulated network match real SIP sizes;
-// within one simulation run the parsed object is carried by shared_ptr to
-// avoid re-parsing on every hop.
+// parse.hpp). Within one simulation run the parsed object is carried by
+// shared_ptr to avoid re-parsing on every hop, and a packet's size comes from
+// wire_bytes(), which runs serialize()'s writer over a byte-counting sink
+// (wire_sink.hpp) — so sizes on the simulated network match real SIP sizes
+// at no per-message serialization cost.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,16 @@ struct Via {
   std::string branch;  // RFC 3261 magic-cookie branches: "z9hG4bK..."
 
   [[nodiscard]] std::string to_string() const;
+  /// Writes "SIP/2.0/UDP " host [";branch=" branch] to a wire sink.
+  template <class Sink>
+  void write_to(Sink& out) const {
+    out.put("SIP/2.0/UDP ");
+    out.put(host);
+    if (!branch.empty()) {
+      out.put(";branch=");
+      out.put(branch);
+    }
+  }
   [[nodiscard]] static std::optional<Via> parse(std::string_view text);
   [[nodiscard]] bool operator==(const Via&) const = default;
 };
@@ -34,6 +46,13 @@ struct CSeq {
   Method method{Method::kUnknown};
 
   [[nodiscard]] std::string to_string() const;
+  /// Writes number " " METHOD to a wire sink.
+  template <class Sink>
+  void write_to(Sink& out) const {
+    out.put_number(number);
+    out.put(' ');
+    out.put(sip::to_string(method));
+  }
   [[nodiscard]] static std::optional<CSeq> parse(std::string_view text);
   [[nodiscard]] bool operator==(const CSeq&) const = default;
 };
@@ -45,6 +64,17 @@ struct NameAddr {
   std::string tag;  // empty when absent
 
   [[nodiscard]] std::string to_string() const;
+  /// Writes "<" uri ">" [";tag=" tag] to a wire sink.
+  template <class Sink>
+  void write_to(Sink& out) const {
+    out.put('<');
+    uri.write_to(out);
+    out.put('>');
+    if (!tag.empty()) {
+      out.put(";tag=");
+      out.put(tag);
+    }
+  }
   [[nodiscard]] static std::optional<NameAddr> parse(std::string_view text);
   [[nodiscard]] bool operator==(const NameAddr&) const = default;
 };
@@ -106,8 +136,9 @@ class Message {
   [[nodiscard]] const std::string& body() const noexcept { return body_; }
   [[nodiscard]] const std::string& content_type() const noexcept { return content_type_; }
 
-  /// Wire size of the serialized message in bytes. Computed on first call
-  /// and cached — call it only once the message is fully built.
+  /// Wire size of the serialized message in bytes: exactly
+  /// serialize(*this).size(), counted by the serializer's writer without
+  /// building the text.
   [[nodiscard]] std::uint32_t wire_bytes() const;
 
  private:
@@ -129,8 +160,6 @@ class Message {
   std::vector<std::pair<std::string, std::string>> extra_headers_;
   std::string body_;
   std::string content_type_;
-
-  mutable std::uint32_t cached_wire_bytes_{0};
 };
 
 /// Payload wrapper that carries a parsed message through the network layer.

@@ -1,7 +1,8 @@
 #include "sip/parse.hpp"
 
-#include <sstream>
+#include <cstdint>
 
+#include "sip/wire_sink.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::sip {
@@ -22,25 +23,81 @@ struct MessageCodec {
   static ParseResult parse(std::string_view text);
 };
 
-std::string serialize(const Message& msg) {
-  std::ostringstream os;
+namespace {
+
+/// The SIP/2.0 text of `msg`, written to a wire sink (wire_sink.hpp): the
+/// one definition of the message format, for serialize() and for sizing.
+template <class Sink>
+void write_message(const Message& msg, Sink& out) {
+  constexpr std::string_view kCrlf = "\r\n";
   if (msg.is_request()) {
-    os << to_string(msg.method()) << ' ' << msg.request_uri().to_string() << " SIP/2.0\r\n";
+    out.put(to_string(msg.method()));
+    out.put(' ');
+    msg.request_uri().write_to(out);
+    out.put(" SIP/2.0\r\n");
   } else {
-    os << "SIP/2.0 " << msg.status_code() << ' ' << msg.reason() << "\r\n";
+    out.put("SIP/2.0 ");
+    out.put_number(msg.status_code());
+    out.put(' ');
+    out.put(msg.reason());
+    out.put(kCrlf);
   }
-  for (const auto& via : msg.vias()) os << "Via: " << via.to_string() << "\r\n";
-  if (msg.is_request()) os << "Max-Forwards: " << msg.max_forwards() << "\r\n";
-  os << "From: " << msg.from().to_string() << "\r\n";
-  os << "To: " << msg.to().to_string() << "\r\n";
-  os << "Call-ID: " << msg.call_id() << "\r\n";
-  os << "CSeq: " << msg.cseq().to_string() << "\r\n";
-  if (msg.contact()) os << "Contact: <" << msg.contact()->to_string() << ">\r\n";
-  for (const auto& [name, value] : msg.extra_headers()) os << name << ": " << value << "\r\n";
-  if (!msg.body().empty()) os << "Content-Type: " << msg.content_type() << "\r\n";
-  os << "Content-Length: " << msg.body().size() << "\r\n\r\n";
-  os << msg.body();
-  return os.str();
+  for (const auto& via : msg.vias()) {
+    out.put("Via: ");
+    via.write_to(out);
+    out.put(kCrlf);
+  }
+  if (msg.is_request()) {
+    out.put("Max-Forwards: ");
+    out.put_number(msg.max_forwards());
+    out.put(kCrlf);
+  }
+  out.put("From: ");
+  msg.from().write_to(out);
+  out.put(kCrlf);
+  out.put("To: ");
+  msg.to().write_to(out);
+  out.put(kCrlf);
+  out.put("Call-ID: ");
+  out.put(msg.call_id());
+  out.put(kCrlf);
+  out.put("CSeq: ");
+  msg.cseq().write_to(out);
+  out.put(kCrlf);
+  if (msg.contact()) {
+    out.put("Contact: <");
+    msg.contact()->write_to(out);
+    out.put(">\r\n");
+  }
+  for (const auto& [name, value] : msg.extra_headers()) {
+    out.put(name);
+    out.put(": ");
+    out.put(value);
+    out.put(kCrlf);
+  }
+  if (!msg.body().empty()) {
+    out.put("Content-Type: ");
+    out.put(msg.content_type());
+    out.put(kCrlf);
+  }
+  out.put("Content-Length: ");
+  out.put_number(static_cast<std::int64_t>(msg.body().size()));
+  out.put("\r\n\r\n");
+  out.put(msg.body());
+}
+
+}  // namespace
+
+std::string serialize(const Message& msg) {
+  StringSink out;
+  write_message(msg, out);
+  return std::move(out.text);
+}
+
+std::size_t serialized_size(const Message& msg) noexcept {
+  LengthSink out;
+  write_message(msg, out);
+  return out.length;
 }
 
 namespace {

@@ -6,6 +6,7 @@
 // Content-Length), arbitrary extension headers, and a body.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,6 +25,9 @@ struct ParseResult {
 /// Renders the message in SIP/2.0 textual form (CRLF line endings,
 /// Content-Length always emitted).
 [[nodiscard]] std::string serialize(const Message& msg);
+
+/// serialize(msg).size(), counted without building the text.
+[[nodiscard]] std::size_t serialized_size(const Message& msg) noexcept;
 
 /// Parses a full SIP message. Strict on structure (start line, mandatory
 /// headers present and well-formed), lenient on unknown headers.

@@ -1,21 +1,14 @@
 #include "sip/uri.hpp"
 
+#include "sip/wire_sink.hpp"
 #include "util/strings.hpp"
 
 namespace pbxcap::sip {
 
 std::string Uri::to_string() const {
-  std::string out = "sip:";
-  if (!user_.empty()) {
-    out += user_;
-    out += '@';
-  }
-  out += host_;
-  if (port_ != 5060) {
-    out += ':';
-    out += std::to_string(port_);
-  }
-  return out;
+  StringSink out;
+  write_to(out);
+  return std::move(out.text);
 }
 
 std::optional<Uri> Uri::parse(std::string_view text) {

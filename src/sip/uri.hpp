@@ -19,6 +19,20 @@ class Uri {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   [[nodiscard]] std::string to_string() const;
+  /// Writes "sip:" [user "@"] host [":" port] to a wire sink (wire_sink.hpp).
+  template <class Sink>
+  void write_to(Sink& out) const {
+    out.put("sip:");
+    if (!user_.empty()) {
+      out.put(user_);
+      out.put('@');
+    }
+    out.put(host_);
+    if (port_ != 5060) {
+      out.put(':');
+      out.put_number(port_);
+    }
+  }
 
   /// Parses "sip:user@host[:port]"; nullopt on malformed input.
   [[nodiscard]] static std::optional<Uri> parse(std::string_view text);

@@ -1,11 +1,18 @@
-// Unit tests for the network fabric: links, queues, switch forwarding.
+// Unit tests for the network fabric: links, queues, switch forwarding,
+// cached host uplinks and per-node capture taps.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
+#include "net/portal.hpp"
 #include "net/switch_node.hpp"
 #include "sim/simulator.hpp"
 
@@ -37,6 +44,19 @@ class SinkNode final : public net::Node {
   std::vector<Packet> received;
   std::vector<TimePoint> arrival_times;
 };
+
+/// One observed hop.
+struct Hop {
+  net::PacketKind kind;
+  net::NodeId from;
+  net::NodeId to;
+};
+
+net::PacketTap record_into(std::vector<Hop>& hops) {
+  return [&hops](const Packet& pkt, net::NodeId from, net::NodeId to) {
+    hops.push_back({pkt.kind, from, to});
+  };
+}
 
 struct NetFixture : ::testing::Test {
   sim::Simulator simulator;
@@ -176,7 +196,19 @@ TEST_F(NetFixture, HostsMayHaveOnlyOneLink) {
   network.attach(b);
   network.attach(c);
   network.connect(a, b, {});
-  EXPECT_THROW((void)network.connect(a, c, {}), std::logic_error);
+  // The already-linked host as either argument of the new link.
+  for (const auto& [first, second, linked] :
+       {std::tuple{&c, &a, &a}, std::tuple{&b, &c, &b}}) {
+    try {
+      (void)network.connect(*first, *second, {});
+      FAIL() << "a second link on host '" << linked->name() << "' was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + linked->name() + "' is already linked"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(network.links().size(), 1u);
 }
 
 TEST_F(NetFixture, TapsObserveDeliveries) {
@@ -192,6 +224,190 @@ TEST_F(NetFixture, TapsObserveDeliveries) {
   simulator.run();
   EXPECT_EQ(taps, 2);
   EXPECT_EQ(network.packets_delivered(), 2u);
+}
+
+TEST_F(NetFixture, HostSendsThroughItsCachedUplink) {
+  // Many links in the table: the host's packet still leaves on its own.
+  SinkNode host{"host"};
+  net::SwitchNode sw{"sw"};
+  network.attach(host);
+  network.attach(sw);
+  std::vector<std::unique_ptr<SinkNode>> others;
+  for (int i = 0; i < 8; ++i) {
+    others.push_back(std::make_unique<SinkNode>("other" + std::to_string(i)));
+    network.attach(*others.back());
+    network.connect(*others.back(), sw, {});
+  }
+  net::Link& uplink = network.connect(host, sw, {});
+  for (int i = 0; i < 3; ++i) host.transmit_to(others[5]->id(), 200);
+  simulator.run();
+  EXPECT_EQ(uplink.stats_from(host.id()).packets_sent, 3u);
+  EXPECT_EQ(others[5]->received.size(), 3u);
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    const net::Link& link = *network.links()[i];  // others[i] <-> sw
+    EXPECT_EQ(link.stats_from(others[i]->id()).packets_sent, 0u);
+    EXPECT_EQ(link.stats_from(sw.id()).packets_sent, i == 5 ? 3u : 0u);
+  }
+}
+
+TEST_F(NetFixture, MultihomedNodeMustSendOnAChosenLink) {
+  // A switch has no cached uplink: a send that names no link is refused.
+  net::SwitchNode sw{"sw"};
+  SinkNode a{"a"};
+  network.attach(sw);
+  network.attach(a);
+  network.connect(sw, a, {});
+  Packet pkt;
+  pkt.dst = a.id();
+  pkt.size_bytes = 300;
+  EXPECT_THROW(network.send_from(sw.id(), pkt), std::logic_error);
+  simulator.run();
+  EXPECT_TRUE(a.received.empty());
+}
+
+TEST_F(NetFixture, DetachedSendWarnsAndDrops) {
+  SinkNode lonely{"lonely"};  // attached, but no link
+  SinkNode b{"b"};
+  network.attach(lonely);
+  network.attach(b);
+  ::testing::internal::CaptureStderr();
+  lonely.transmit_to(b.id(), 100);
+  const std::string linkless = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(linkless.find("sent a packet while detached"), std::string::npos) << linkless;
+
+  SinkNode unattached{"unattached"};  // not even on a network
+  ::testing::internal::CaptureStderr();
+  unattached.transmit_to(b.id(), 100);
+  const std::string off_network = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(off_network.find("send on detached node 'unattached'"), std::string::npos)
+      << off_network;
+
+  simulator.run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(network.packets_delivered(), 0u);
+}
+
+TEST_F(NetFixture, GlobalTapFiresOnEveryHop) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  net::SwitchNode sw{"sw"};
+  network.attach(a);
+  network.attach(b);
+  network.attach(sw);
+  network.connect(a, sw, {});
+  network.connect(b, sw, {});
+  std::vector<Hop> hops;
+  network.add_tap(record_into(hops));
+  a.transmit_to(b.id(), 100);
+  b.transmit_to(a.id(), 100);
+  simulator.run();
+  ASSERT_EQ(hops.size(), 4u);  // two hops per packet through the switch
+  EXPECT_EQ(hops[0].from, a.id());
+  EXPECT_EQ(hops[0].to, sw.id());
+  EXPECT_EQ(hops[1].from, b.id());
+  EXPECT_EQ(hops[1].to, sw.id());
+  EXPECT_EQ(hops[2].from, sw.id());
+  EXPECT_EQ(hops[2].to, b.id());
+  EXPECT_EQ(hops[3].from, sw.id());
+  EXPECT_EQ(hops[3].to, a.id());
+}
+
+TEST_F(NetFixture, NodeTapSeesOnlyHopsAtItsNode) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  SinkNode c{"c"};
+  net::SwitchNode sw{"sw"};
+  for (net::Node* n : std::initializer_list<net::Node*>{&a, &b, &c, &sw}) network.attach(*n);
+  network.connect(a, sw, {});
+  network.connect(b, sw, {});
+  network.connect(c, sw, {});
+  std::vector<Hop> at_b;
+  std::vector<Hop> at_sw;
+  std::vector<Hop> all;
+  network.add_node_tap(b.id(), record_into(at_b));
+  network.add_node_tap(sw.id(), record_into(at_sw));
+  network.add_tap(record_into(all));
+
+  a.transmit_to(b.id(), 100);  // a->sw, sw->b
+  c.transmit_to(a.id(), 100);  // c->sw, sw->a: never touches b
+  b.transmit_to(c.id(), 100);  // b->sw, sw->c
+  simulator.run();
+
+  EXPECT_EQ(all.size(), 6u);
+  // b's own packet leaves before a's arrives through the switch.
+  ASSERT_EQ(at_b.size(), 2u);
+  EXPECT_EQ(at_b[0].from, b.id());  // egress of b's packet
+  EXPECT_EQ(at_b[0].to, sw.id());
+  EXPECT_EQ(at_b[1].from, sw.id());  // ingress of a's packet
+  EXPECT_EQ(at_b[1].to, b.id());
+  EXPECT_EQ(at_sw.size(), 6u);      // every hop enters or leaves the switch
+}
+
+TEST_F(NetFixture, NodeTapSeesTrunkShellsAndTheirFrames) {
+  SinkNode a{"a"};
+  SinkNode b{"b"};
+  SinkNode bystander{"bystander"};
+  network.attach(a);
+  network.attach(b);
+  network.attach(bystander);
+  LinkConfig cfg;
+  cfg.trunk_window = Duration::millis(20);
+  network.connect(a, b, cfg);
+  std::vector<Hop> at_a;
+  std::vector<Hop> at_b;
+  std::vector<Hop> at_bystander;
+  network.add_node_tap(a.id(), record_into(at_a));
+  network.add_node_tap(b.id(), record_into(at_b));
+  network.add_node_tap(bystander.id(), record_into(at_bystander));
+  for (int i = 0; i < 3; ++i) a.transmit_to(b.id(), 200, net::PacketKind::kRtp);
+  simulator.run();
+
+  ASSERT_EQ(b.received.size(), 3u);
+  // One shell hop, then the three re-delivered frames, seen from both ends.
+  for (const auto* hops : {&at_a, &at_b}) {
+    ASSERT_EQ(hops->size(), 4u);
+    EXPECT_EQ((*hops)[0].kind, net::PacketKind::kTrunk);
+    for (std::size_t i = 1; i < hops->size(); ++i) {
+      EXPECT_EQ((*hops)[i].kind, net::PacketKind::kRtp);
+    }
+    for (const Hop& hop : *hops) {
+      EXPECT_EQ(hop.from, a.id());
+      EXPECT_EQ(hop.to, b.id());
+    }
+  }
+  EXPECT_TRUE(at_bystander.empty());
+}
+
+TEST_F(NetFixture, NodeTapSeesRemoteHandOffs) {
+  SinkNode a{"a"};
+  net::PortalNode portal{"remote-host"};
+  SinkNode bystander{"bystander"};
+  network.attach(a);
+  network.attach(portal);
+  network.attach(bystander);
+  network.connect(a, portal, {});
+  std::vector<Packet> handed_off;
+  network.set_remote_sink(portal.id(), [&](Packet&& pkt, net::NodeId, TimePoint) {
+    handed_off.push_back(std::move(pkt));
+  });
+  std::vector<Hop> at_a;
+  std::vector<Hop> at_portal;
+  std::vector<Hop> at_bystander;
+  network.add_node_tap(a.id(), record_into(at_a));
+  network.add_node_tap(portal.id(), record_into(at_portal));
+  network.add_node_tap(bystander.id(), record_into(at_bystander));
+  a.transmit_to(portal.id(), 100);
+  a.transmit_to(portal.id(), 100);
+
+  // The hand-off happens at transmit time, with no local delivery event.
+  EXPECT_EQ(handed_off.size(), 2u);
+  EXPECT_EQ(at_a.size(), 2u);
+  ASSERT_EQ(at_portal.size(), 2u);
+  EXPECT_EQ(at_portal[0].from, a.id());
+  EXPECT_EQ(at_portal[0].to, portal.id());
+  EXPECT_TRUE(at_bystander.empty());
+  simulator.run();
+  EXPECT_EQ(portal.swallowed(), 0u);
 }
 
 TEST_F(NetFixture, UtilizationReflectsBusyTime) {

@@ -1,7 +1,22 @@
 // Unit tests for SIP message model, URI, SDP, and the wire codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <string_view>
+
+#include "loadgen/caller.hpp"
+#include "loadgen/receiver.hpp"
+#include "loadgen/scenario.hpp"
+#include "net/network.hpp"
+#include "net/switch_node.hpp"
+#include "pbx/asterisk_pbx.hpp"
+#include "rtp/packet.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 #include "sip/message.hpp"
 #include "sip/parse.hpp"
 #include "sip/sdp.hpp"
@@ -163,6 +178,198 @@ TEST(MessageCodecTest, WireBytesMatchesSerializedSize) {
   const Message invite = make_invite();
   EXPECT_EQ(invite.wire_bytes(), sip::serialize(invite).size());
   EXPECT_GT(invite.wire_bytes(), 200u);  // realistic SIP INVITE size
+}
+
+TEST(MessageCodecTest, SerializeWritesTheExactText) {
+  const Message invite = make_invite();
+  EXPECT_EQ(sip::serialize(invite),
+            "INVITE sip:recv-1@pbx.unb.br SIP/2.0\r\n"
+            "Via: SIP/2.0/UDP client.unb.br;branch=z9hG4bK-test-1\r\n"
+            "Max-Forwards: 70\r\n"
+            "From: <sip:caller-1@client.unb.br>;tag=tag-a\r\n"
+            "To: <sip:recv-1@pbx.unb.br>\r\n"
+            "Call-ID: call-1@client.unb.br\r\n"
+            "CSeq: 1 INVITE\r\n"
+            "Contact: <sip:caller-1@client.unb.br>\r\n"
+            "Content-Type: application/sdp\r\n"
+            "Content-Length: 5\r\n"
+            "\r\n"
+            "v=0\r\n");
+
+  Message busy = Message::response_to(invite, 486);
+  busy.to().tag = "t9";
+  busy.to().uri = sip::Uri{"recv-1", "10.0.0.2", 5070};
+  busy.add_header("Retry-After", "30");
+  EXPECT_EQ(sip::serialize(busy),
+            "SIP/2.0 486 Busy Here\r\n"
+            "Via: SIP/2.0/UDP client.unb.br;branch=z9hG4bK-test-1\r\n"
+            "From: <sip:caller-1@client.unb.br>;tag=tag-a\r\n"
+            "To: <sip:recv-1@10.0.0.2:5070>;tag=t9\r\n"
+            "Call-ID: call-1@client.unb.br\r\n"
+            "CSeq: 1 INVITE\r\n"
+            "Retry-After: 30\r\n"
+            "Content-Length: 0\r\n"
+            "\r\n");
+}
+
+TEST(MessageCodecTest, WireBytesFollowsEveryMutation) {
+  // Sizing keeps no state: a field edited after a first call is counted.
+  Message invite = make_invite();
+  const std::uint32_t before = invite.wire_bytes();
+  invite.vias().push_back({"proxy.unb.br", ""});
+  invite.to().tag = "late";
+  invite.set_cseq({1000, Method::kInvite});
+  EXPECT_EQ(invite.wire_bytes(), sip::serialize(invite).size());
+  EXPECT_EQ(invite.wire_bytes(), before + (5 + 12 + 12 + 2) + (5 + 4) + 3);
+}
+
+// Random text over the characters SIP fields hold; empty about one time in
+// four, so every optional field is seen both absent and present.
+std::string random_token(sim::Random& rng, std::uint64_t max_len = 24) {
+  static constexpr std::string_view kChars =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~!%*+'";
+  if (rng.uniform_int(4) == 0) return {};
+  std::string out;
+  const auto len = 1 + rng.uniform_int(max_len);
+  for (std::uint64_t i = 0; i < len; ++i) out.push_back(kChars[rng.uniform_int(kChars.size())]);
+  return out;
+}
+
+sip::Uri random_uri(sim::Random& rng) {
+  std::string host = random_token(rng);
+  if (host.empty()) host = "h";
+  // Half the URIs keep the default port, which serialize() leaves out.
+  const auto port = rng.chance(0.5) ? std::uint16_t{5060}
+                                    : static_cast<std::uint16_t>(rng.uniform_int(65536));
+  return {random_token(rng), std::move(host), port};
+}
+
+TEST(MessageCodecTest, WireBytesMatchesSerializedSizeOnRandomMessages) {
+  constexpr Method kMethods[] = {Method::kInvite,   Method::kAck,     Method::kBye,
+                                 Method::kCancel,   Method::kRegister, Method::kOptions,
+                                 Method::kInfo,     Method::kUnknown};
+  constexpr int kMaxForwards[] = {0, 1, 9, 10, 69, 70, 99, 100, 255, 1000, 65535, -1};
+  constexpr std::uint32_t kCseqs[] = {0, 1, 9, 10, 101, 65536, 4294967295u};
+  sim::Random rng{0x5121};
+  std::set<int> codes_seen;
+  for (int i = 0; i < 4000; ++i) {
+    const Method method = kMethods[(i / 2) % 8];
+    Message request = Message::request(method, random_uri(rng));
+    request.set_max_forwards(rng.chance(0.5) ? kMaxForwards[rng.uniform_int(12)]
+                                             : static_cast<int>(rng.uniform_int(100000)));
+    request.set_cseq({rng.chance(0.5) ? kCseqs[rng.uniform_int(7)]
+                                      : static_cast<std::uint32_t>(rng.uniform_int(1ULL << 32)),
+                      kMethods[rng.uniform_int(8)]});
+    for (auto vias = rng.uniform_int(4); vias > 0; --vias) {
+      std::string host = random_token(rng);
+      if (host.empty()) host = "v";
+      request.vias().push_back({std::move(host), random_token(rng)});
+    }
+    request.from() = {random_uri(rng), random_token(rng)};
+    request.to() = {random_uri(rng), random_token(rng)};
+    request.set_call_id(random_token(rng, 40));
+    if (rng.chance(0.5)) request.set_contact(random_uri(rng));
+    // Even i: the request itself. Odd i: a response to it, cycling through
+    // every status code 100..699 (response_to copies Via/From/To/Call-ID/CSeq).
+    Message msg = request;
+    if (i % 2 == 1) {
+      const int code = 100 + (i / 2) % 600;
+      codes_seen.insert(code);
+      msg = Message::response_to(request, code);
+      if (rng.chance(0.5)) msg.to().tag = random_token(rng);
+    }
+    for (auto extra = rng.uniform_int(4); extra > 0; --extra) {
+      std::string name = random_token(rng, 12);
+      msg.add_header(name.empty() ? "X-Empty" : std::move(name), random_token(rng, 60));
+    }
+    // Bodies: none, a typed one, and a content type with no body (which
+    // serialize() leaves out), up to a four-digit Content-Length.
+    switch (rng.uniform_int(3)) {
+      case 0: break;
+      case 1: {
+        std::string body(rng.uniform_int(3000), 'b');
+        msg.set_body(std::move(body), random_token(rng));
+        break;
+      }
+      default: msg.set_body("", "application/sdp"); break;
+    }
+    const std::string text = sip::serialize(msg);
+    ASSERT_EQ(msg.wire_bytes(), text.size()) << "message " << i << ":\n" << text;
+  }
+  EXPECT_EQ(codes_seen.size(), 600u);
+}
+
+TEST(MessageCodecTest, WireBytesMatchesEdgeValues) {
+  Message msg = Message::request(Method::kRegister, sip::Uri{"", "a", 1});
+  msg.set_max_forwards(std::numeric_limits<int>::min());
+  msg.set_cseq({std::numeric_limits<std::uint32_t>::max(), Method::kRegister});
+  EXPECT_EQ(msg.wire_bytes(), sip::serialize(msg).size());
+
+  Message response = Message::response_to(msg, 999);  // unnamed code, empty reason
+  response.set_body(std::string(10000, 'x'), "");
+  EXPECT_EQ(response.wire_bytes(), sip::serialize(response).size());
+}
+
+// The testbed's wiring (caller, receiver and PBX behind one switch) under a
+// short run with blocking: every SIP packet any hop carries is sized exactly
+// as its serialized text plus the UDP/IP/Ethernet encapsulation.
+TEST(MessageCodecTest, EverySipPacketOfATestbedRunHasItsSerializedSize) {
+  sim::Simulator simulator;
+  sim::Random master{42};
+  net::Network network{simulator, master.fork()};
+  sim::Random arrival_rng = master.fork();
+  sip::HostResolver resolver;
+  rtp::SsrcAllocator ssrcs;
+  loadgen::CallScenario scenario =
+      loadgen::CallScenario::for_offered_load(6.0, Duration::seconds(4));
+  scenario.placement_window = Duration::seconds(10);
+
+  pbx::PbxConfig pbx_config;
+  pbx_config.host = "pbx.unb.br";
+  pbx_config.max_channels = 3;  // some calls are refused: error responses too
+  net::SwitchNode lan_switch{"switch"};
+  pbx::AsteriskPbx pbx_node{pbx_config, simulator, resolver};
+  loadgen::SipCaller caller{"sipp-client.unb.br", pbx_config.host, simulator, resolver, ssrcs,
+                            scenario, arrival_rng};
+  loadgen::SipReceiver receiver{"sipp-server.unb.br", simulator, resolver, ssrcs, scenario};
+  network.attach(lan_switch);
+  network.attach(pbx_node);
+  network.attach(caller);
+  network.attach(receiver);
+  network.connect(caller, lan_switch, {});
+  network.connect(receiver, lan_switch, {});
+  network.connect(pbx_node, lan_switch, {});
+  pbx_node.bind();
+  caller.bind();
+  receiver.bind();
+  pbx_node.dialplan().add("recv-", receiver.sip_host());
+  pbx_node.directory().allow_prefix("caller-");
+
+  std::uint64_t sip_packets = 0;
+  std::set<int> statuses;
+  std::set<Method> methods;
+  network.add_tap([&](const net::Packet& pkt, net::NodeId, net::NodeId) {
+    if (pkt.kind != net::PacketKind::kSip) return;
+    const auto* payload = pkt.payload_as<sip::SipPayload>();
+    ASSERT_NE(payload, nullptr);
+    ++sip_packets;
+    if (payload->msg.is_request()) {
+      methods.insert(payload->msg.method());
+    } else {
+      statuses.insert(payload->msg.status_code());
+    }
+    EXPECT_EQ(pkt.size_bytes, net::wire_size(
+                                  static_cast<std::uint32_t>(sip::serialize(payload->msg).size())));
+  });
+  caller.start();
+  simulator.run_until(TimePoint::at(Duration::seconds(20)));
+  caller.finalize_remaining();
+
+  EXPECT_GT(sip_packets, 100u);
+  EXPECT_TRUE(methods.count(Method::kInvite) && methods.count(Method::kAck) &&
+              methods.count(Method::kBye));
+  EXPECT_TRUE(statuses.count(sip::status::kOk) && statuses.count(sip::status::kRinging));
+  EXPECT_TRUE(std::any_of(statuses.begin(), statuses.end(), sip::is_error));
 }
 
 TEST(MessageCodecTest, RandomGarbageNeverCrashes) {
