@@ -76,8 +76,11 @@ struct ClusterConfig {
   pbx::AcdConfig acd{};
 
   /// Hybrid fluid/packet media engine (off by default: exact per-packet
-  /// simulation). Enables the 100k+ concurrent-call scaling points in
-  /// bench_cluster_scaling.
+  /// simulation). Exact on every gated field only while media load stays
+  /// well below link capacity: coasting streams are not charged against
+  /// the medium, so near or past capacity fluid runs under-report loss and
+  /// retransmissions. bench_cluster_scaling's --mega point pushes about 87x
+  /// the caller link's capacity and is not a valid network result.
   rtp::FluidConfig fluid;
 
   /// IAX2-style trunk aggregation window for the inter-PBX uplinks (zero =
@@ -179,10 +182,9 @@ struct ClusterResult {
   std::string merged_trace;
 };
 
+/// Runs the cluster experiment, monolithic or sharded (ClusterConfig::shard).
+/// Throws std::invalid_argument for an empty fleet, or when a FaultPlan is
+/// set and `fault_backend` names no backend.
 [[nodiscard]] ClusterResult run_cluster(const ClusterConfig& config);
-
-/// Sharded implementation behind ClusterConfig::shard.enabled; run_cluster
-/// dispatches here automatically — call directly only from tests.
-[[nodiscard]] ClusterResult run_cluster_sharded(const ClusterConfig& config);
 
 }  // namespace pbxcap::exp

@@ -6,7 +6,9 @@
 #include "loadgen/receiver.hpp"
 #include "net/link.hpp"
 #include "pbx/asterisk_pbx.hpp"
+#include "rtp/fluid.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pbxcap::exp {
 
@@ -19,14 +21,51 @@ Duration run_horizon(const loadgen::CallScenario& scenario, Duration drain) {
          Duration::from_seconds(scenario.hold_time.to_seconds() * hold_tail_factor) + drain;
 }
 
-monitor::ExperimentReport build_report(const loadgen::CallScenario& scenario, std::uint64_t seed,
-                                       const loadgen::SipCaller& caller,
-                                       const loadgen::SipReceiver& receiver,
-                                       const std::vector<BackendSources>& backends,
-                                       const std::vector<const net::Link*>& links,
-                                       const sim::Simulator& simulator) {
-  return build_report(scenario, seed, caller, receiver, backends, links,
-                      simulator.events_processed());
+SteadyWindow steady_cpu_window(const loadgen::CallScenario& scenario) {
+  Duration from = std::min(scenario.hold_time, scenario.placement_window);
+  if (from >= scenario.placement_window) {
+    from = Duration::nanos(scenario.placement_window.ns() / 2);
+  }
+  return {TimePoint::at(from), TimePoint::at(scenario.placement_window)};
+}
+
+void start_telemetry(telemetry::Telemetry& tel, sim::Simulator& simulator,
+                     rtp::FluidEngine* fluid, bool profile_series) {
+  const Duration period = tel.config().sample_period;
+  if (fluid != nullptr) {
+    fluid->set_boundary_period(period);
+    tel.sampler().set_pre_sample_hook([fluid] { fluid->flush_all(); });
+  }
+  tel.sampler().start(simulator, period);
+  if (tel.profiler() != nullptr) {
+    tel.profiler()->attach(simulator);
+    if (profile_series) tel.profiler()->start_series(period);  // Chrome counter tracks
+  }
+}
+
+void stop_telemetry(telemetry::Telemetry& tel) {
+  tel.sampler().stop();
+  if (tel.profiler() != nullptr) tel.profiler()->detach();
+}
+
+void arm_faults(std::optional<fault::FaultInjector>& injector, sim::Simulator& simulator,
+                const fault::FaultPlan& plan, fault::FaultTargets targets,
+                rtp::FluidEngine* fluid, telemetry::SpanTracer* tracer) {
+  injector.emplace(simulator, plan, targets);
+  if (fluid != nullptr) injector->set_pre_apply([fluid] { fluid->on_transient(); });
+  if (tracer != nullptr) injector->set_tracer(tracer);
+  injector->arm();
+}
+
+void merge_callee_quality(loadgen::SipCaller& caller, const loadgen::SipReceiver& receiver) {
+  for (auto& record : caller.log().records_mutable()) {
+    if (const auto* q = receiver.finished(record.call_index)) {
+      record.mos_callee_heard = q->mos;
+      record.loss_callee_heard = q->effective_loss;
+      record.jitter_callee_heard = q->jitter;
+      record.rtp_received_callee = q->rtp_received;
+    }
+  }
 }
 
 monitor::ExperimentReport build_report(const loadgen::CallScenario& scenario, std::uint64_t seed,
@@ -52,16 +91,7 @@ monitor::ExperimentReport build_report(const loadgen::CallScenario& scenario, st
   report.blocking_probability_steady = log.blocking_probability_since(steady_from);
   report.calls_attempted_steady = log.attempted_since(steady_from);
 
-  // CPU over the loaded steady interval: after the ramp (one hold time),
-  // until the placement window closes. When holds outlast the window (short
-  // smoke runs), fall back to the second half of the window so the interval
-  // is never empty.
-  Duration cpu_from_d = std::min(scenario.hold_time, scenario.placement_window);
-  if (cpu_from_d >= scenario.placement_window) {
-    cpu_from_d = Duration::nanos(scenario.placement_window.ns() / 2);
-  }
-  const TimePoint cpu_from = TimePoint::at(cpu_from_d);
-  const TimePoint cpu_to = TimePoint::at(scenario.placement_window);
+  const SteadyWindow cpu = steady_cpu_window(scenario);
 
   report.sip_retransmissions =
       caller.transactions().total_retransmissions() + receiver.transactions().total_retransmissions();
@@ -70,7 +100,7 @@ monitor::ExperimentReport build_report(const loadgen::CallScenario& scenario, st
       const pbx::AsteriskPbx& pbx = *backend.pbx;
       report.channels_configured += pbx.channels().capacity();
       report.channels_peak += pbx.channels().peak();
-      report.cpu_utilization.merge(pbx.cpu().utilization(cpu_from, cpu_to));
+      report.cpu_utilization.merge(pbx.cpu().utilization(cpu.from, cpu.to));
       report.rtp_relayed += pbx.rtp_relayed();
       report.transcoded_bridges += pbx.transcoded_bridges();
       report.transcoded_rtp += pbx.transcoded_rtp();

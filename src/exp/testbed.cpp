@@ -79,7 +79,8 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
   if (config.trace != nullptr) config.trace->attach(network);
 
   telemetry::Telemetry* tel = config.telemetry;
-  if (tel != nullptr && tel->enabled()) {
+  const bool tel_on = tel != nullptr && tel->enabled();
+  if (tel_on) {
     pbx.set_telemetry(tel);
     caller.set_telemetry(tel);
     receiver.set_telemetry(tel);
@@ -121,29 +122,15 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
       sampler.add_gauge("acd_queue_depth",
                         [&pbx] { return static_cast<double>(pbx.acd().total_depth()); });
     }
-    if (fluid_on) {
-      // Streams leave fluid mode `boundary_guard` before each tick so the
-      // guard window drains per-packet; the pre-sample flush is the safety
-      // net that keeps every row exact even if a boundary is missed.
-      fluid_engine.set_boundary_period(period);
-      sampler.set_pre_sample_hook([&fluid_engine] { fluid_engine.flush_all(); });
-    }
-    sampler.start(simulator, period);
-    if (tel->profiler() != nullptr) {
-      tel->profiler()->attach(simulator);
-      tel->profiler()->start_series(period);  // Chrome counter-track source
-    }
+    start_telemetry(*tel, simulator, fluid_on ? &fluid_engine : nullptr,
+                    /*profile_series=*/true);
   }
 
   std::optional<fault::FaultInjector> injector;
   if (config.faults != nullptr && !config.faults->empty()) {
-    injector.emplace(simulator, *config.faults,
-                     fault::FaultTargets{client_link, &server_link, &pbx_link, &pbx});
-    if (fluid_on) {
-      injector->set_pre_apply([&fluid_engine] { fluid_engine.on_transient(); });
-    }
-    if (tel != nullptr && tel->enabled()) injector->set_tracer(tel->tracer());
-    injector->arm();
+    arm_faults(injector, simulator, *config.faults,
+               fault::FaultTargets{client_link, &server_link, &pbx_link, &pbx},
+               fluid_on ? &fluid_engine : nullptr, tel_on ? tel->tracer() : nullptr);
   }
 
   fluid_engine.start();
@@ -151,9 +138,8 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
   simulator.run_until(TimePoint::at(run_horizon(config.scenario, config.drain)));
   caller.finalize_remaining();
 
-  if (tel != nullptr && tel->enabled()) {
-    tel->sampler().stop();  // cancel the pending tick before the sim dies
-    if (tel->profiler() != nullptr) tel->profiler()->detach();
+  if (tel_on) {
+    stop_telemetry(*tel);
     // Mirror the NIC-tap message census and ring drop counts into the
     // registry so one Prometheus snapshot carries the full picture.
     auto& reg = tel->registry();
@@ -196,20 +182,11 @@ monitor::ExperimentReport run_testbed(const TestbedConfig& config, WifiObservati
     }
   }
 
-  // Merge receiver-side heard quality into the caller's per-call records.
-  for (auto& record : caller.log().records_mutable()) {
-    if (const auto* q = receiver.finished(record.call_index)) {
-      record.mos_callee_heard = q->mos;
-      record.loss_callee_heard = q->effective_loss;
-      record.jitter_callee_heard = q->jitter;
-      record.rtp_received_callee = q->rtp_received;
-    }
-  }
-
+  merge_callee_quality(caller, receiver);
   monitor::ExperimentReport report =
       build_report(config.scenario, config.seed, caller, receiver,
                    {{&pbx, &sip_capture, &rtp_capture}},
-                   {&server_link, &pbx_link, client_link}, simulator);
+                   {&server_link, &pbx_link, client_link}, simulator.events_processed());
 
   if (wifi_out != nullptr && config.wifi_cell) {
     wifi_out->medium_utilization = wifi_cell.medium_utilization(simulator.now());

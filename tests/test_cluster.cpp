@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "exp/cluster.hpp"
+#include "fault/plan.hpp"
 
 namespace {
 
@@ -54,7 +55,26 @@ TEST(Cluster, PerServerCongestionReported) {
 }
 
 TEST(Cluster, RejectsZeroServers) {
-  EXPECT_THROW((void)exp::run_cluster(small_cluster(6.0, 0)), std::invalid_argument);
+  auto config = small_cluster(6.0, 0);
+  EXPECT_THROW((void)exp::run_cluster(config), std::invalid_argument);
+  config.shard.enabled = true;
+  EXPECT_THROW((void)exp::run_cluster(config), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsOutOfRangeFaultBackend) {
+  // Backend 2 of a 2-server fleet does not exist: the plan must not land on
+  // the last backend instead. Every FaultPlan counts, even an empty one.
+  const auto plan = fault::FaultPlan::parse("@5s pbx crash dead=5s\n");
+  const fault::FaultPlan empty;
+  for (const bool sharded : {false, true}) {
+    for (const fault::FaultPlan* faults : {&plan, &empty}) {
+      auto config = small_cluster(6.0, 2);
+      config.shard.enabled = sharded;
+      config.faults = faults;
+      config.fault_backend = 2;
+      EXPECT_THROW((void)exp::run_cluster(config), std::invalid_argument) << sharded;
+    }
+  }
 }
 
 }  // namespace
