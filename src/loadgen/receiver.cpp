@@ -124,8 +124,13 @@ void SipReceiver::answer(const Message& invite, sip::ServerTransaction& txn) {
   txn.respond(ok);
 
   session->dialog = sip::Dialog::from_uas(invite, ok);
-  if (session->remote_ssrc != 0) by_remote_ssrc_[session->remote_ssrc] = session.get();
-  sessions_.emplace(invite.call_id(), std::move(session));
+  // A second INVITE with a live session's Call-ID (a restarted PBX sending
+  // the call again) keeps the first session, which goes on receiving the
+  // call's media; the duplicate is dropped and must not stay reachable.
+  const auto [it, inserted] = sessions_.try_emplace(invite.call_id(), std::move(session));
+  if (inserted && it->second->remote_ssrc != 0) {
+    by_remote_ssrc_[it->second->remote_ssrc] = it->second.get();
+  }
   ++answered_;
   if (tm_answered_ != nullptr) tm_answered_->add();
 }

@@ -2,9 +2,17 @@
 // end-to-end generator runs against the PBX.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "exp/testbed.hpp"
 #include "loadgen/receiver.hpp"
 #include "loadgen/scenario.hpp"
+#include "net/network.hpp"
+#include "net/switch_node.hpp"
+#include "rtp/packet.hpp"
+#include "sim/simulator.hpp"
+#include "sip/sdp.hpp"
 
 namespace {
 
@@ -94,6 +102,92 @@ TEST(Generator, StochasticHoldTimesComplete) {
   const auto report = exp::run_testbed(config);
   EXPECT_GT(report.calls_completed, 0u);
   EXPECT_EQ(report.calls_failed, 0u);
+}
+
+// Stands in for a PBX leg towards the receiver: INVITEs, RTP and BYE.
+class PbxLeg final : public sip::SipEndpoint {
+ public:
+  PbxLeg(sim::Simulator& simulator, sip::HostResolver& resolver)
+      : sip::SipEndpoint{"pbx", "pbx.unb.br", simulator, resolver} {}
+
+  void invite(const std::string& call_id, std::uint32_t ssrc) {
+    sip::Message msg = request(sip::Method::kInvite, call_id);
+    sip::Sdp offer;
+    offer.connection_host = sip_host();
+    offer.audio.rtp_port = 4000;
+    offer.audio.payload_types = {0};
+    offer.audio.ssrc = ssrc;
+    msg.set_body(offer.to_string(), "application/sdp");
+    send_request_to(msg, kReceiver, [](const sip::Message&) {});
+  }
+
+  void bye(const std::string& call_id) {
+    send_request_to(request(sip::Method::kBye, call_id), kReceiver, [](const sip::Message&) {});
+  }
+
+  void rtp(net::NodeId dst, std::uint32_t ssrc, std::uint16_t sequence) {
+    net::Packet pkt;
+    pkt.dst = dst;
+    pkt.kind = net::PacketKind::kRtp;
+    pkt.size_bytes = 214;
+    const TimePoint now = network()->simulator().now();
+    pkt.payload = std::make_shared<rtp::RtpPayload>(
+        rtp::RtpHeader{.payload_type = 0,
+                       .sequence = sequence,
+                       .timestamp = 160u * sequence,
+                       .ssrc = ssrc},
+        now);
+    send(std::move(pkt));
+  }
+
+ private:
+  static constexpr const char* kReceiver = "sipp-server.unb.br";
+
+  sip::Message request(sip::Method method, const std::string& call_id) {
+    sip::Message msg = sip::Message::request(method, sip::Uri{"recv-0", kReceiver});
+    msg.from() = {sip::Uri{"caller-0", sip_host()}, "leg"};
+    msg.to() = {sip::Uri{"recv-0", kReceiver}, ""};
+    msg.set_call_id(call_id);
+    msg.set_cseq({method == sip::Method::kBye ? 2u : 1u, method});
+    return msg;
+  }
+};
+
+TEST(Receiver, ResentInviteKeepsTheFirstSessionReceiving) {
+  // A PBX that crashed and restarted can send a call's INVITE again with the
+  // same Call-ID. The receiver must keep routing the call's media to the
+  // session it answered first, not to the dropped duplicate.
+  sim::Simulator simulator;
+  net::Network network{simulator, sim::Random{3}};
+  sip::HostResolver resolver;
+  rtp::SsrcAllocator ssrcs;
+  net::SwitchNode sw{"sw"};
+  loadgen::CallScenario scenario;
+  loadgen::SipReceiver receiver{"sipp-server.unb.br", simulator, resolver, ssrcs, scenario};
+  PbxLeg pbx{simulator, resolver};
+  network.attach(sw);
+  network.attach(receiver);
+  network.attach(pbx);
+  network.connect(receiver, sw, {});
+  network.connect(pbx, sw, {});
+  receiver.bind();
+  pbx.bind();
+
+  constexpr std::uint32_t kSsrc = 77;
+  pbx.invite("call-1", kSsrc);
+  simulator.run_until(TimePoint::at(Duration::millis(500)));
+  pbx.invite("call-1", kSsrc);
+  simulator.run_until(TimePoint::at(Duration::seconds(1)));
+  EXPECT_EQ(receiver.active_sessions(), 1u);
+  for (std::uint16_t seq = 1; seq <= 10; ++seq) pbx.rtp(receiver.id(), kSsrc, seq);
+  simulator.run_until(TimePoint::at(Duration::seconds(2)));
+  pbx.bye("call-1");
+  simulator.run_until(TimePoint::at(Duration::seconds(3)));
+
+  const loadgen::HeardQuality* heard = receiver.finished(0);
+  ASSERT_NE(heard, nullptr);
+  EXPECT_EQ(heard->rtp_received, 10u);
+  EXPECT_EQ(receiver.active_sessions(), 0u);
 }
 
 }  // namespace
