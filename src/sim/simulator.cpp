@@ -130,7 +130,13 @@ void Simulator::run_until(TimePoint horizon) {
   stopped_ = false;
   while (!stopped_ && fire_next(horizon.ns())) {
   }
-  if (!stopped_) now_ = horizon;
+  if (!stopped_) {
+    now_ = horizon;
+    // Every event at or before the horizon has fired, so must every stamp
+    // issued so far; the consumed sequence keeps a stamp taken after this
+    // point pending at the horizon.
+    fired_seq_ = next_seq_++;
+  }
 }
 
 bool Simulator::fire_next_general(std::int64_t horizon_ns) {
@@ -148,12 +154,15 @@ bool Simulator::fire_next_general(std::int64_t horizon_ns) {
   }
 
   std::int64_t at;
+  std::uint64_t seq;
   std::uint32_t idx;
   if (from_wheel) {
     at = wheel_min->at;
+    seq = wheel_min->seq;
     idx = wheel_min->idx;
   } else {
     at = heap_[0].at;
+    seq = heap_[0].seq;
     idx = heap_[0].idx;
   }
   if (at > horizon_ns) return false;
@@ -164,7 +173,7 @@ bool Simulator::fire_next_general(std::int64_t horizon_ns) {
   } else {
     heap_pop_root();
   }
-  finish_fire(at, idx);
+  finish_fire(at, seq, idx);
   return true;
 }
 

@@ -131,6 +131,29 @@ class Simulator {
   /// Requests the loop to stop after the currently executing event.
   void stop() noexcept { stopped_ = true; }
 
+  // --- events that are never scheduled ------------------------------------
+  //
+  // A model whose only reaction to an instant is bookkeeping (a link's
+  // serialization queue losing a packet) need not schedule an event for it.
+  // It takes order_stamp() where it would have scheduled one and later asks
+  // has_passed() whether that event would already have fired. The answer
+  // follows the queue's own (time, sequence) order exactly, ties included,
+  // so the model reads the same state as with the real event, and no other
+  // event's relative order changes.
+
+  /// The sequence number the next scheduled event will get, not consumed.
+  [[nodiscard]] std::uint64_t order_stamp() const noexcept { return next_seq_; }
+
+  /// True iff an event scheduled at `at_ns` when order_stamp() returned
+  /// `stamp` would already have fired: `at_ns` is before now(), or equal to
+  /// it and the running (or last fired) event was scheduled at or after the
+  /// stamp. After run_until() every stamp issued so far counts as fired at
+  /// the horizon; after run() drains the queue the clock stays at the last
+  /// real event, so later instants read as pending.
+  [[nodiscard]] bool has_passed(std::int64_t at_ns, std::uint64_t stamp) const noexcept {
+    return at_ns < now_.ns() || (at_ns == now_.ns() && stamp <= fired_seq_);
+  }
+
   // --- event-category profiling (see sim/profile.hpp) -----------------------
   //
   // Every scheduled event carries a one-byte category id stamped from
@@ -232,8 +255,9 @@ class Simulator {
   bool fire_next(std::int64_t horizon_ns);
   /// fire_next for the wheel-involved cases (anything beyond pure heap).
   bool fire_next_general(std::int64_t horizon_ns);
-  /// Pop bookkeeping done: runs the node's callback at time `at`.
-  void finish_fire(std::int64_t at, std::uint32_t idx);
+  /// Pop bookkeeping done: runs the node's callback at time `at`; `seq` is
+  /// its schedule sequence (kept for has_passed).
+  void finish_fire(std::int64_t at, std::uint64_t seq, std::uint32_t idx);
   /// finish_fire's callback invocation with a profile attached: counts the
   /// category and brackets every sample_period-th callback with clock reads.
   void invoke_profiled(Node& node);
@@ -315,6 +339,7 @@ class Simulator {
   ExecProfile* profile_{nullptr};
   std::uint8_t current_cat_{0};
   std::uint64_t next_seq_{1};
+  std::uint64_t fired_seq_{0};  // sequence of the running or last fired event
   std::uint64_t scheduled_{0};
   std::uint64_t processed_{0};
   std::uint64_t cancelled_{0};
@@ -414,12 +439,13 @@ inline EventId Simulator::place(std::int64_t at_ns, std::uint32_t idx) {
   return schedule_far(at_ns, seq, idx);
 }
 
-inline void Simulator::finish_fire(std::int64_t at, std::uint32_t idx) {
+inline void Simulator::finish_fire(std::int64_t at, std::uint64_t seq, std::uint32_t idx) {
   Node& node = node_at(idx);
   ++node.gen;  // the id dies now: cancel() from inside the callback says false
   node.loc = Loc::kFree;
   ++processed_;
   now_ = TimePoint::at(Duration::nanos(at));
+  fired_seq_ = seq;
   // Chunk storage is stable, so the callback runs where it lives; the node
   // rejoins the free list only after it returns, so events it schedules
   // cannot claim the slot out from under it.
@@ -439,7 +465,7 @@ inline bool Simulator::fire_next(std::int64_t horizon_ns) {
   const HeapItem top = heap_[0];
   if (top.at > horizon_ns) return false;
   heap_pop_root();
-  finish_fire(top.at, top.idx);
+  finish_fire(top.at, top.seq, top.idx);
   return true;
 }
 

@@ -335,6 +335,165 @@ TEST(SimDeterminism, PeriodicTickCancelledMidRun) {
   EXPECT_EQ(simulator.pending(), 0u);
 }
 
+// --- never-scheduled events (order_stamp / has_passed) ----------------------
+//
+// A model may take order_stamp() where it would schedule a bookkeeping event
+// and later ask has_passed() whether that event would have fired. The answer
+// must equal what the real event would show, on every store and for
+// same-instant ties in both orders.
+
+// Probes around a stamp for instant `at_ns`, taken outside the loop
+// (stamp_ns < 0) or from an event at stamp_ns. Each probe reads
+// has_passed(at_ns, stamp); the result lists 2 * tag + reading in firing
+// order. Tag 4 is scheduled at the very start, before everything else.
+std::vector<int> tie_readings(std::int64_t stamp_ns, std::int64_t at_ns) {
+  Simulator simulator;
+  std::vector<int> got;
+  std::uint64_t stamp = 0;
+  const TimePoint t = TimePoint::at(Duration::nanos(at_ns));
+  const auto probe = [&](int tag) {
+    return [&, tag] { got.push_back(2 * tag + (simulator.has_passed(at_ns, stamp) ? 1 : 0)); };
+  };
+  const auto stamp_here = [&] {
+    simulator.schedule_at(t - Duration::nanos(1), probe(0));
+    simulator.schedule_at(t, probe(1));
+    stamp = simulator.order_stamp();
+    simulator.schedule_at(t, probe(2));
+    simulator.schedule_at(t + Duration::nanos(1), probe(3));
+  };
+  simulator.schedule_at(t, probe(4));
+  if (stamp_ns < 0) {
+    stamp_here();
+  } else {
+    simulator.schedule_at(TimePoint::at(Duration::nanos(stamp_ns)), stamp_here);
+  }
+  simulator.run_until(t + Duration::seconds(1));
+  return got;
+}
+
+TEST(SimOrderStamp, TiesAtTheStampedInstantOnEveryStore) {
+  // Probes at the stamped instant scheduled before the stamp read "not yet",
+  // those scheduled after it read "passed"; a nanosecond earlier is never
+  // passed, a nanosecond later always is.
+  const std::vector<int> expect{0, 8, 2, 5, 7};
+  // Stamped outside the loop: far-future heap with an empty wheel (the pure
+  // heap fire path), a level-0 wheel slot, a level-1 slot that cascades.
+  EXPECT_EQ(tie_readings(-1, 70'000'000'000), expect) << "heap";
+  EXPECT_EQ(tie_readings(-1, 50'000'000), expect) << "level-0 wheel";
+  EXPECT_EQ(tie_readings(-1, 5'000'000'000), expect) << "level-1 wheel";
+  // Stamped from an event inside the activated slot: the probes it schedules
+  // go to the heap and tie with tag 4, which fires from the sorted run.
+  EXPECT_EQ(tie_readings(49'400'000, 50'000'000), expect) << "run slot + heap";
+  // Stamped at the instant itself, from an event that fires before tag 4.
+  EXPECT_EQ(tie_readings(50'000'000 - 1, 50'000'000), expect) << "same slot, 1 ns ahead";
+}
+
+TEST(SimOrderStamp, RunUntilHorizonPassesEveryStamp) {
+  Simulator simulator;
+  const std::int64_t at = 10'000'000;
+  const std::uint64_t stamp = simulator.order_stamp();
+  EXPECT_FALSE(simulator.has_passed(0, stamp)) << "nothing has fired yet";
+  simulator.run_until(TimePoint::at(Duration::nanos(at - 1)));
+  EXPECT_FALSE(simulator.has_passed(at, stamp));
+  simulator.run_until(TimePoint::at(Duration::nanos(at)));
+  EXPECT_TRUE(simulator.has_passed(at, stamp)) << "an event at the horizon would have fired";
+  // A stamp taken after the horizon is reached is still pending there.
+  const std::uint64_t later = simulator.order_stamp();
+  EXPECT_FALSE(simulator.has_passed(at, later));
+  bool read = false;
+  simulator.schedule_at(TimePoint::at(Duration::nanos(at)), [&] {
+    read = simulator.has_passed(at, later);
+  });
+  simulator.run_until(TimePoint::at(Duration::nanos(at)));
+  EXPECT_TRUE(read) << "the event was scheduled after the stamp";
+}
+
+// Randomized: every fired event spawns children as in run_engine, places
+// markers before and after doing so (at its own instant, at its first
+// child's instant, or nearby), and reads every marker placed so far. A
+// marker is a real event that sets a flag (`eager`) or a stamp read through
+// has_passed(). Readings are also taken between run_until() chunks.
+std::vector<std::uint8_t> run_markers(const Decisions& d, bool eager, std::size_t max_fires) {
+  struct Marker {
+    std::int64_t at;
+    std::uint64_t stamp;
+    bool fired;
+  };
+  Simulator simulator;
+  std::vector<Marker> markers;
+  markers.reserve(4 * max_fires);
+  std::vector<std::uint8_t> log;
+  std::size_t fires = 0;
+  std::uint64_t next_label = 0;
+
+  const auto read_all = [&] {
+    for (const Marker& m : markers) {
+      log.push_back(eager ? m.fired : simulator.has_passed(m.at, m.stamp));
+    }
+    log.push_back(0xff);
+  };
+  const auto place_marker = [&](std::int64_t at) {
+    markers.push_back(Marker{at, simulator.order_stamp(), false});
+    if (eager) {
+      const std::size_t i = markers.size() - 1;
+      simulator.schedule_at(TimePoint::at(Duration::nanos(at)), [&, i] { markers[i].fired = true; });
+    }
+  };
+  const auto marker_at = [&](std::uint64_t label, std::uint64_t salt, std::int64_t now) {
+    const std::uint64_t r = mix(d.seed ^ label ^ salt);
+    switch (r % 4) {
+      case 0: return now;
+      case 1: return now + d.child_delta(label, 0);  // ties with the first child
+      case 2: return now + 1;
+      default: return now + static_cast<std::int64_t>(r >> 40);  // up to ~16.7 ms
+    }
+  };
+
+  const auto spawn = [&](auto&& self, std::uint64_t label, std::int64_t at) -> void {
+    simulator.schedule_at(TimePoint::at(Duration::nanos(at)), [&, label, at] {
+      read_all();
+      if (++fires >= max_fires) return;
+      const std::uint64_t r = mix(d.seed ^ label ^ 0x5747ULL);
+      if (r & 1) place_marker(marker_at(label, 0x1111ULL, at));
+      for (unsigned c = 0; c < d.children(label); ++c) {
+        self(self, next_label++, at + d.child_delta(label, c));
+      }
+      if (r & 2) place_marker(marker_at(label, 0x2222ULL, at));
+      read_all();
+    });
+  };
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    spawn(spawn, next_label++, d.child_delta(0xfeedULL, static_cast<unsigned>(i)));
+  }
+  // Between chunks, markers are also placed from outside the loop: one at
+  // the coming horizon, one at the parked clock.
+  for (std::int64_t h = 0; h <= 80'000'000'000; h += 2'000'000'000) {
+    for (const std::int64_t off : {std::int64_t{0}, std::int64_t{1} << 20, kDeltasNs[7]}) {
+      place_marker(h + off);
+      simulator.run_until(TimePoint::at(Duration::nanos(h + off)));
+      read_all();
+      place_marker(h + off);
+      read_all();
+    }
+  }
+  return log;
+}
+
+TEST(SimOrderStamp, MatchesScheduledMarkerEventsAcrossSeeds) {
+  for (const std::uint64_t seed : {3ULL, 99ULL, 0x5eedULL, 2026ULL}) {
+    const Decisions d{seed};
+    const auto eager = run_markers(d, true, 1500);
+    const auto lazy = run_markers(d, false, 1500);
+    ASSERT_EQ(eager.size(), lazy.size()) << "seed " << seed;
+    std::size_t first_diff = 0;
+    while (first_diff < eager.size() && eager[first_diff] == lazy[first_diff]) ++first_diff;
+    EXPECT_EQ(first_diff, eager.size()) << "seed " << seed << ": readings diverge";
+    // The workload must actually see both answers.
+    EXPECT_GT(std::count(lazy.begin(), lazy.end(), 1), 0);
+    EXPECT_GT(std::count(lazy.begin(), lazy.end(), 0), 0);
+  }
+}
+
 // --- pending() accounting (regression: the pre-rebuild engine counted
 // cancelled-but-unpopped tombstones, so pending() could drift and a cancel
 // of an already-fired id could return true). ---
