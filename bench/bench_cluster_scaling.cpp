@@ -25,7 +25,8 @@
 //              sweep to {1, N}; --json F writes the machine-readable record
 //              (wall-clock fields sit on their own lines so CI can filter
 //              them before byte-comparing reruns); --attr-json F writes the
-//              fleet attribution JSON.
+//              fleet attribution JSON. Both are usage errors (exit 2)
+//              without --shards.
 
 #include <chrono>
 #include <cstdio>
@@ -342,6 +343,12 @@ int main(int argc, char** argv) {
       }
       attr_json_out = argv[++i];
     }
+  }
+  // Only the --shards sweep writes JSON; refuse the flags elsewhere rather
+  // than silently writing nothing.
+  if (!shards && (!json_out.empty() || !attr_json_out.empty())) {
+    std::fprintf(stderr, "--json and --attr-json need --shards\n");
+    return 2;
   }
   if (shards) return run_shards(fast, threads_override, json_out, attr_json_out);
   if (mega) {
